@@ -8,11 +8,15 @@ structural pattern matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
 from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 from repro.cfront.ctypes import CType
 from repro.errors import SourceLocation
+
+#: Field values a deep copy shares instead of copying: all are immutable.
+_SHARED_LEAVES = (str, int, CType, SourceLocation, type(None))
 
 
 @dataclass
@@ -24,6 +28,17 @@ class Node:
     def clone(self, **changes) -> "Node":
         """Return a shallow copy of this node with ``changes`` applied."""
         return replace(self, **changes)
+
+    def __deepcopy__(self, memo: dict) -> "Node":
+        """Structural copy: child nodes and lists are copied, the immutable
+        leaves are shared.  Through ``memo`` a node reachable twice is
+        copied once, as the generic deep copy does."""
+        new = object.__new__(type(self))
+        memo[id(self)] = new
+        new.__dict__.update(
+            (name, value if isinstance(value, _SHARED_LEAVES) else copy.deepcopy(value, memo))
+            for name, value in self.__dict__.items())
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -242,79 +257,67 @@ class Program(Node):
 AnyNode = Expr | Stmt | FunctionDef | Program | Parameter
 
 
+#: The child-bearing fields of each node type, in traversal order.  A field
+#: holds a node, a list of nodes, or ``None``; unlisted types are leaves.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Program: ("functions",),
+    FunctionDef: ("params", "body"),
+    Block: ("body",),
+    ExprStmt: ("expr",),
+    Decl: ("array_size", "init"),
+    If: ("cond", "then", "otherwise"),
+    ForLoop: ("init", "cond", "step", "body"),
+    WhileLoop: ("cond", "body"),
+    DoWhileLoop: ("body", "cond"),
+    Return: ("value",),
+    Label: ("stmt",),
+    ArrayRef: ("base", "index"),
+    UnaryOp: ("operand",),
+    PostfixOp: ("operand",),
+    BinOp: ("left", "right"),
+    TernaryOp: ("cond", "then", "otherwise"),
+    Assign: ("target", "value"),
+    Call: ("args",),
+    Cast: ("operand",),
+}
+
+
+def children(node: Node) -> list[Node]:
+    """The direct child nodes of ``node``, in traversal order."""
+    found: list[Node] = []
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if isinstance(value, list):
+            found.extend(value)
+        elif value is not None:
+            found.append(value)
+    return found
+
+
 def walk(node: AnyNode) -> Iterator[Node]:
-    """Yield ``node`` and every node reachable from it, preorder."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Yield ``node`` and every node reachable from it, preorder.
 
-
-def children(node: AnyNode) -> Iterator[Node]:
-    """Yield the direct child nodes of ``node``."""
-    if isinstance(node, Program):
-        yield from node.functions
-    elif isinstance(node, FunctionDef):
-        yield from node.params
-        yield node.body
-    elif isinstance(node, Block):
-        yield from node.body
-    elif isinstance(node, ExprStmt):
-        yield node.expr
-    elif isinstance(node, Decl):
-        if node.array_size is not None:
-            yield node.array_size
-        if node.init is not None:
-            yield node.init
-    elif isinstance(node, If):
-        yield node.cond
-        yield node.then
-        if node.otherwise is not None:
-            yield node.otherwise
-    elif isinstance(node, ForLoop):
-        if node.init is not None:
-            yield node.init
-        if node.cond is not None:
-            yield node.cond
-        if node.step is not None:
-            yield node.step
-        yield node.body
-    elif isinstance(node, WhileLoop):
-        yield node.cond
-        yield node.body
-    elif isinstance(node, DoWhileLoop):
-        yield node.body
-        yield node.cond
-    elif isinstance(node, Return):
-        if node.value is not None:
-            yield node.value
-    elif isinstance(node, Label):
-        yield node.stmt
-    elif isinstance(node, ArrayRef):
-        yield node.base
-        yield node.index
-    elif isinstance(node, (UnaryOp, PostfixOp)):
-        yield node.operand
-    elif isinstance(node, BinOp):
-        yield node.left
-        yield node.right
-    elif isinstance(node, TernaryOp):
-        yield node.cond
-        yield node.then
-        yield node.otherwise
-    elif isinstance(node, Assign):
-        yield node.target
-        yield node.value
-    elif isinstance(node, Call):
-        yield from node.args
-    elif isinstance(node, Cast):
-        yield node.operand
-    # Leaf nodes (IntLiteral, Identifier, Break, Continue, Goto, Parameter)
-    # contribute no children.
+    A node's children are read after the node itself is yielded, so a
+    caller may rewrite the fields of the node it is visiting.
+    """
+    stack: list[Node] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(children(current)))
 
 
 def collect(node: AnyNode, node_type) -> list:
     """Collect every descendant of ``node`` that is an instance of ``node_type``."""
     return [n for n in walk(node) if isinstance(n, node_type)]
+
+
+#: ``kernel_dtype`` is pure in the tree and asked for on every interpreter
+#: run of a cache-shared AST.  Entries keep a strong reference to the
+#: function, so the id key cannot be reused; a copy is a new object, so it
+#: never inherits an entry.
+_DTYPE_MEMO: dict[int, tuple[FunctionDef, object]] = {}
+_DTYPE_MEMO_CAPACITY = 512
 
 
 def kernel_dtype(func: FunctionDef):
@@ -328,6 +331,17 @@ def kernel_dtype(func: FunctionDef):
     not C's int promotion rules.  Mixing two different sized spellings in
     one kernel raises :class:`~repro.errors.CompileError`.
     """
+    entry = _DTYPE_MEMO.get(id(func))
+    if entry is not None and entry[0] is func:
+        return entry[1]
+    dtype = _kernel_dtype_uncached(func)
+    if len(_DTYPE_MEMO) >= _DTYPE_MEMO_CAPACITY:
+        _DTYPE_MEMO.clear()
+    _DTYPE_MEMO[id(func)] = (func, dtype)
+    return dtype
+
+
+def _kernel_dtype_uncached(func: FunctionDef):
     from repro.errors import CompileError
     from repro.lanetypes import DEFAULT_LANE_TYPE, get_lane_type
 

@@ -8,8 +8,11 @@ lex without touching this module.
 from __future__ import annotations
 
 import enum
+import functools
+import re
+import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from repro.errors import LexError, SourceLocation
 from repro.targets.isa import PREDICATE_TYPE_NAMES, VECTOR_TYPE_LANES
@@ -124,140 +127,100 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.location})"
 
 
-class _Cursor:
-    """Mutable scanning cursor over the source text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.text):
-            return ""
-        return self.text[index]
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            char = self.text[self.pos]
-            self.pos += 1
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
+def _char_class(predicate: Callable[[str], bool]) -> str:
+    """A regex character class body matching every code point ``predicate`` accepts."""
+    ranges: list[str] = []
+    low = None
+    for code in range(sys.maxunicode + 2):
+        inside = code <= sys.maxunicode and predicate(chr(code))
+        if inside and low is None:
+            low = code
+        elif not inside and low is not None:
+            ranges.append(f"{re.escape(chr(low))}-{re.escape(chr(code - 1))}")
+            low = None
+    return "".join(ranges)
 
 
-def _skip_trivia(cursor: _Cursor) -> None:
-    """Skip whitespace, comments and preprocessor lines."""
-    while not cursor.at_end():
-        char = cursor.peek()
-        if char in " \t\r\n":
-            cursor.advance()
-        elif cursor.startswith("//"):
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-        elif cursor.startswith("/*"):
-            cursor.advance(2)
-            while not cursor.at_end() and not cursor.startswith("*/"):
-                cursor.advance()
-            if cursor.at_end():
-                raise LexError("unterminated block comment", cursor.location())
-            cursor.advance(2)
-        elif char == "#" and cursor.column == 1:
-            # Preprocessor directives (#include <immintrin.h>) are ignored;
-            # intrinsic semantics are supplied by repro.intrinsics.
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-        else:
-            return
+def _token_pattern(digit: str, alpha: str) -> re.Pattern:
+    """One alternation, a named group per lexical category, tried in order.
+
+    ``digit``/``alpha`` are the character classes of ``str.isdigit`` and
+    ``str.isalpha``; ``\\w`` is exactly ``str.isalnum`` plus ``_``.
+    Comments, whitespace and ``#`` lines at column 1 are trivia; the
+    ``open_*`` groups are unterminated constructs and ``other`` is any
+    character no category accepts.
+    """
+    punct = "|".join(re.escape(p) for p in _PUNCTUATORS)
+    groups = {
+        "space": r"[ \t\r\n]+",
+        "comment": r"//[^\n]*|/\*.*?\*/",
+        "open_comment": r"/\*",
+        "directive": r"#[^\n]*",
+        "number": rf"0[xX][0-9a-fA-F]*[uUlL]*|[{digit}]+(?:\.[{digit}]+)?[uUlL]*",
+        "ident": rf"[{alpha}_]\w*",
+        "string": r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'',
+        "open_string": r"[\"']",
+        "punct": punct,
+        "other": r".",
+    }
+    return re.compile("|".join(f"(?P<{name}>{body})" for name, body in groups.items()),
+                      re.DOTALL)
 
 
-def _lex_number(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    start = cursor.pos
-    if cursor.peek() == "0" and cursor.peek(1) and cursor.peek(1) in "xX":
-        cursor.advance(2)
-        while cursor.peek() and cursor.peek() in "0123456789abcdefABCDEF":
-            cursor.advance()
-    else:
-        while cursor.peek().isdigit():
-            cursor.advance()
-        if cursor.peek() == "." and cursor.peek(1).isdigit():
-            cursor.advance()
-            while cursor.peek().isdigit():
-                cursor.advance()
-    # Integer suffixes are accepted and discarded.  (peek() returns "" at
-    # end of input, and "" is a substring of any string — guard against it.)
-    while cursor.peek() and cursor.peek() in "uUlL":
-        cursor.advance()
-    text = cursor.text[start : cursor.pos]
-    return Token(TokenKind.NUMBER, text, location)
+_ASCII_PATTERN = _token_pattern("0-9", "A-Za-z")
 
 
-def _lex_ident(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    start = cursor.pos
-    while cursor.peek().isalnum() or cursor.peek() == "_":
-        cursor.advance()
-    text = cursor.text[start : cursor.pos]
-    kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-    return Token(kind, text, location)
+@functools.cache
+def _unicode_pattern() -> re.Pattern:
+    """The pattern for non-ASCII sources, whose letters and digits follow
+    ``str.isalpha``/``str.isdigit`` (built on first use)."""
+    return _token_pattern(_char_class(str.isdigit), _char_class(str.isalpha))
 
 
-def _lex_string(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    quote = cursor.peek()
-    cursor.advance()
-    start = cursor.pos
-    while not cursor.at_end() and cursor.peek() != quote:
-        if cursor.peek() == "\\":
-            cursor.advance()
-        cursor.advance()
-    if cursor.at_end():
-        raise LexError("unterminated string literal", location)
-    text = cursor.text[start : cursor.pos]
-    cursor.advance()
-    return Token(TokenKind.STRING, text, location)
+def _end_location(source: str) -> SourceLocation:
+    return SourceLocation(source.count("\n") + 1, len(source) - source.rfind("\n"))
+
+
+#: Categories whose text may span lines; the line count advances past them.
+_MULTILINE = frozenset({"space", "comment", "string"})
 
 
 def iter_tokens(source: str) -> Iterator[Token]:
     """Yield tokens for ``source``, ending with a single EOF token."""
-    cursor = _Cursor(source)
-    while True:
-        _skip_trivia(cursor)
-        if cursor.at_end():
-            yield Token(TokenKind.EOF, "", cursor.location())
-            return
-        char = cursor.peek()
-        if char.isdigit():
-            yield _lex_number(cursor)
-        elif char.isalpha() or char == "_":
-            yield _lex_ident(cursor)
-        elif char in "\"'":
-            yield _lex_string(cursor)
-        else:
-            location = cursor.location()
-            for punct in _PUNCTUATORS:
-                if cursor.startswith(punct):
-                    cursor.advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, location)
-                    break
+    pattern = _ASCII_PATTERN if source.isascii() else _unicode_pattern()
+    line, line_start = 1, 0
+    for match in pattern.finditer(source):
+        kind = match.lastgroup
+        start, end = match.span()
+        if kind != "space" and kind != "comment":
+            location = SourceLocation(line, start - line_start + 1)
+            text = match.group()
+            if kind == "ident":
+                yield Token(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+                            text, location)
+            elif kind == "punct":
+                yield Token(TokenKind.PUNCT, text, location)
+            elif kind == "number":
+                yield Token(TokenKind.NUMBER, text, location)
+            elif kind == "string":
+                yield Token(TokenKind.STRING, text[1:-1], location)
+            elif kind == "directive":
+                # Preprocessor directives (#include <immintrin.h>) are ignored;
+                # intrinsic semantics are supplied by repro.intrinsics.
+                if location.column != 1:
+                    raise LexError("unexpected character '#'", location)
+            elif kind == "open_comment":
+                raise LexError("unterminated block comment", _end_location(source))
+            elif kind == "open_string":
+                raise LexError("unterminated string literal", location)
             else:
-                raise LexError(f"unexpected character {char!r}", location)
+                raise LexError(f"unexpected character {text!r}", location)
+        if kind in _MULTILINE:
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, end) + 1
+    yield Token(TokenKind.EOF, "", _end_location(source))
 
 
 def tokenize(source: str) -> list[Token]:

@@ -16,8 +16,9 @@ crashing, exactly as on real hardware with malloc slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from repro.errors import UndefinedBehaviorError
 from repro.lanetypes import INT32, LaneType
@@ -89,13 +90,11 @@ class Memory:
     def allocate(self, name: str, size: int, values: Iterable[int] | None = None,
                  guard: int = DEFAULT_GUARD_ELEMS) -> ArrayRegion:
         """Allocate a region named ``name`` with ``size`` declared elements."""
-        data = [self._wrap(v) for v in values] if values is not None else None
-        region = ArrayRegion(name=name, size=size, guard=guard, data=data or [])
-        if values is not None:
-            # Re-run post-init padding with the provided prefix.
-            padded = [self._wrap(v) for v in values][:size]
-            padded += [0] * (size + guard - len(padded))
-            region.data = padded
+        # The provided prefix fills the declared extent; the region pads the
+        # rest (and the guard zone) with zeros.
+        wrap = self._wrap
+        data = [] if values is None else [wrap(v) for v in itertools.islice(values, size)]
+        region = ArrayRegion(name=name, size=size, guard=guard, data=data)
         self.regions[name] = region
         return region
 

@@ -16,6 +16,7 @@ lane count for a dtype is ``register_bits // dtype.bits``, owned by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,19 @@ class LaneType:
     #: numpy dtype name for the bulk lane kernels.
     np_name: str
 
-    @property
+    # Derived from ``bits`` once and then read from the instance dict:
+    # ``wrap`` runs per stored element.
+    @cached_property
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
+    @cached_property
     def sign_bit(self) -> int:
         return 1 << (self.bits - 1)
+
+    @cached_property
+    def modulus(self) -> int:
+        return 1 << self.bits
 
     @property
     def bytes(self) -> int:
@@ -48,7 +55,7 @@ class LaneType:
         """Reduce ``value`` to this type's signed two's-complement range."""
         value &= self.mask
         if value & self.sign_bit:
-            value -= 1 << self.bits
+            value -= self.modulus
         return value
 
     def to_unsigned(self, value: int) -> int:

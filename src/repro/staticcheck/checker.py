@@ -1,8 +1,10 @@
 """The static vetting entry point: parse once, run every rule pass.
 
 :func:`check_candidate` is the one function the rest of the system calls.
-It parses a candidate into the C-subset AST, resolves the (target, dtype)
-pair the rules should judge it against, and runs the five rule families —
+It takes a candidate's C-subset AST from the shared parse cache
+(:func:`~repro.vectorizer.plancache.cached_parse`: the tester and the
+verifier read the same tree), resolves the (target, dtype) pair the
+rules should judge it against, and runs the five rule families —
 definite-assignment / intrinsic dataflow (typeflow), loop shape, dead
 masks, predicate governance, and operator drift — collecting everything
 into one :class:`~repro.staticcheck.diagnostics.StaticReport`.
@@ -18,7 +20,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.cfront import ast_nodes as ast
-from repro.cfront.cparser import parse_function
 from repro.errors import ReproError
 from repro.lanetypes import LaneType, get_lane_type
 from repro.staticcheck.deadmask import run_deadmask
@@ -28,32 +29,23 @@ from repro.staticcheck.loopshape import run_loopshape
 from repro.staticcheck.predicates import run_predicates
 from repro.staticcheck.typeflow import run_typeflow
 from repro.targets import TargetISA, detect_target, get_target
+from repro.vectorizer.plancache import cached_parse
 
 _CACHE_LIMIT = 512
 _cache: OrderedDict[tuple, StaticReport] = OrderedDict()
-
-_scalar_cache: OrderedDict[str, ast.FunctionDef | None] = OrderedDict()
 
 
 def clear_staticcheck_cache() -> None:
     """Drop all memoized reports (tests and long-lived workers)."""
     _cache.clear()
-    _scalar_cache.clear()
 
 
 def _parse_scalar(scalar_source: str) -> ast.FunctionDef | None:
     """Parse the scalar reference, tolerating failure (drift just skips)."""
-    if scalar_source in _scalar_cache:
-        _scalar_cache.move_to_end(scalar_source)
-        return _scalar_cache[scalar_source]
     try:
-        func = parse_function(scalar_source)
+        return cached_parse(scalar_source)
     except ReproError:
-        func = None
-    _scalar_cache[scalar_source] = func
-    while len(_scalar_cache) > _CACHE_LIMIT:
-        _scalar_cache.popitem(last=False)
-    return func
+        return None
 
 
 def _resolve_dtype(dtype: LaneType | str | None,
@@ -87,7 +79,7 @@ def check_candidate(source: str, *,
         return cached
 
     try:
-        func = parse_function(source)
+        func = cached_parse(source)
     except ReproError as exc:
         location = getattr(exc, "location", None)
         span = (location.line, location.column) if location else (0, 0)

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 from repro.analysis.features import KernelFeatures, analyze_kernel
 from repro.cfront import ast_nodes as ast
-from repro.cfront.cparser import parse_function
 from repro.lanetypes import get_lane_type
 from repro.tsvc.registry import KernelSpec, all_kernel_names, get_kernel
+from repro.vectorizer.plancache import cached_parse
 
 #: Name suffix per non-default dtype; int32 kernels keep their bare name so
 #: every pre-dtype cache key, store record and golden table stays valid.
@@ -84,22 +84,26 @@ def retarget_spec(spec: KernelSpec, dtype: str) -> KernelSpec:
     )
 
 
-@lru_cache(maxsize=None)
 def load_kernel(name: str, dtype: str = "int32") -> LoadedKernel:
     """Parse and analyze the kernel named ``name`` at ``dtype`` (cached).
 
     ``name`` may be a bare registry name (``s000``) with ``dtype`` chosen
     separately, or an already-suffixed derived name (``s000_i16``), whose
-    suffix wins over the ``dtype`` argument.
+    suffix wins over the ``dtype`` argument.  Every spelling of one
+    (kernel, dtype) pair returns the same object.
     """
     base, suffix_dtype = split_kernel_name(name)
     lane = get_lane_type(suffix_dtype if suffix_dtype != "int32" else dtype)
+    return _load_kernel(base, lane.name)
+
+
+@lru_cache(maxsize=None)
+def _load_kernel(base: str, dtype: str) -> LoadedKernel:
     spec = get_kernel(base)
-    if lane.name != "int32":
-        spec = retarget_spec(spec, lane.name)
-    function = parse_function(spec.source)
-    features = analyze_kernel(function)
-    return LoadedKernel(spec=spec, function=function, features=features)
+    if dtype != "int32":
+        spec = retarget_spec(spec, dtype)
+    function = cached_parse(spec.source)
+    return LoadedKernel(spec=spec, function=function, features=analyze_kernel(function))
 
 
 def load_suite(names: list[str] | None = None,

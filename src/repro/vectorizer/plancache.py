@@ -8,7 +8,8 @@ synthetic LLM produces for one (kernel, target, epilogue) triple reuses a
 single vectorization plan + generated function.  Profiling showed repeated
 parsing alone accounted for half the serial campaign's wall clock — the FSM
 re-parses the scalar kernel per completion, the tester per attempt, and the
-verifier per stage.
+verifier per stage.  :func:`cached_parse` is therefore the only route from
+text to an AST: the TSVC loader and the static vetter read through it too.
 
 Sharing parsed ASTs across consumers is safe by construction: every AST
 mutator in the tree (``normalize_body``, ``unroll_scalar_function``,

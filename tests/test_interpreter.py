@@ -6,6 +6,7 @@ from repro.cfront.cparser import parse_function
 from repro.errors import CompileError, UndefinedBehaviorError
 from repro.interp.checksum import ChecksumOutcome, checksum_testing
 from repro.interp.memory import Memory
+from repro.lanetypes import INT16, INT64
 from repro.interp.interpreter import run_function
 from repro.interp.randominit import InputSpec, make_test_vector
 import random
@@ -46,6 +47,28 @@ class TestMemory:
         before = memory.checksum()
         memory.store("a", 0, 42)
         assert memory.checksum() != before
+
+    def test_allocation_wraps_to_the_lane_width(self):
+        memory = Memory(dtype=INT16)
+        region = memory.allocate("a", 4, [40000, -40000, 32768, 5], guard=2)
+        assert region.data == [-25536, 25536, -32768, 5, 0, 0]
+        memory = Memory(dtype=INT64)
+        region = memory.allocate("a", 3, [2**63, -2**63 - 1, 2**64 + 7], guard=1)
+        assert region.data == [-2**63, 2**63 - 1, 7, 0]
+
+    def test_allocation_truncates_a_long_prefix_and_pads_a_short_one(self):
+        memory = Memory()
+        assert memory.allocate("long", 2, [1, 2, 3, 4], guard=3).data == [1, 2, 0, 0, 0]
+        assert memory.allocate("short", 3, [9], guard=1).data == [9, 0, 0, 0]
+        assert memory.allocate("empty", 3, [], guard=1).data == [0, 0, 0, 0]
+        assert memory.allocate("none", 3, guard=1).data == [0, 0, 0, 0]
+
+    def test_allocation_poisons_exactly_the_guard_zone(self):
+        memory = Memory()
+        region = memory.allocate("a", 3, [7, 8, 9, 10], guard=2)
+        assert region.poison == [False, False, False, True, True]
+        assert memory.load("a", 3) == (0, True)
+        assert [event.kind for event in memory.ub_events] == ["oob-read"]
 
 
 class TestInterpreter:

@@ -1,5 +1,8 @@
 """Tests for the C-subset lexer, parser and pretty printer."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.cfront import ast_nodes as ast
@@ -7,6 +10,7 @@ from repro.cfront.cparser import parse_expression, parse_function, parse_program
 from repro.cfront.lexer import TokenKind, tokenize
 from repro.cfront.printer import expr_to_c, to_c
 from repro.errors import LexError, ParseError
+from repro.tsvc import all_kernel_names, load_kernel
 
 
 class TestLexer:
@@ -38,12 +42,105 @@ class TestLexer:
         assert foo.location.column == 3
 
     def test_unterminated_comment_raises(self):
-        with pytest.raises(LexError):
-            tokenize("/* never closed")
+        # The location is the end of input, not the comment's opening.
+        with pytest.raises(LexError) as info:
+            tokenize("int x;\n/* never\n closed")
+        assert str(info.value) == "3:8: unterminated block comment"
 
     def test_unexpected_character_raises(self):
-        with pytest.raises(LexError):
-            tokenize("int $x;")
+        with pytest.raises(LexError) as info:
+            tokenize("int\n\tx = $x;")
+        assert str(info.value) == "2:6: unexpected character '$'"
+
+    def test_unterminated_string_reports_its_opening_quote(self):
+        with pytest.raises(LexError) as info:
+            tokenize('int x;\n  "abc\\"\nx')
+        assert str(info.value) == "2:3: unterminated string literal"
+
+    def test_hash_outside_column_one_is_unexpected(self):
+        assert [t.text for t in tokenize("#pragma x\nint")] == ["int", ""]
+        with pytest.raises(LexError) as info:
+            tokenize("int x;\n  #pragma x")
+        assert str(info.value) == "2:3: unexpected character '#'"
+
+
+def _stream_digest(sources) -> str:
+    """sha256 over every source's (kind, text, line, column) token stream,
+    or its ``LexError`` message and location."""
+    digest = hashlib.sha256()
+    for source in sources:
+        try:
+            for tok in tokenize(source):
+                digest.update(repr((tok.kind.value, tok.text, tok.location.line,
+                                    tok.location.column)).encode())
+        except LexError as exc:
+            digest.update(repr(("LexError", str(exc), exc.location.line,
+                                exc.location.column)).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+#: Fragments the mutation corpus splices into kernel sources: comment and
+#: string delimiters, preprocessor marks, numeric edge shapes, operators,
+#: and non-ASCII letters and digits (``str.isalpha``/``isdigit`` semantics).
+_MUTATION_FRAGMENTS = [
+    "/*", "*/", "//", '"', "'", "\\", "#", "\n#", "\n", " ", "\t", "\r",
+    "$", "@", "`", "0x", "0X1fUL", "1.5", "7.", ".5", "...", "..", "<<=",
+    ">>=", "->", "=", "_x9", "int16_t", "__m256i", "\u00e9", "\u00b2",
+    "\u0663", "\u00bd", "\u00a0", "\u2167",
+]
+
+
+def mutation_corpus(count=2000, seed=1313):
+    """A fixed seeded corpus of lightly corrupted TSVC sources."""
+    rng = random.Random(seed)
+    bases = [load_kernel(name).source for name in all_kernel_names()]
+    corpus = []
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(text) + 1)
+            op = rng.random()
+            if op < 0.5:
+                text = text[:pos] + rng.choice(_MUTATION_FRAGMENTS) + text[pos:]
+            elif op < 0.8:
+                text = text[:pos] + text[pos + rng.randint(1, 8):]
+            elif op < 0.95:
+                text = text[:pos] + rng.choice(_MUTATION_FRAGMENTS) + text[pos + 1:]
+            else:
+                text = text[:pos]
+        corpus.append(text)
+    return corpus
+
+
+class TestTokenStreamPins:
+    """The token stream (kind, text, line, column) and every ``LexError``
+    message and location, pinned over fixed corpora."""
+
+    @pytest.mark.parametrize("dtype,expected", [
+        ("int16", "0f255ba7bb98f4cff937da8ebb5e57a44b122f8f4c0241606fae2ad568d326b2"),
+        ("int32", "34d3dbb86ed22bc550e450c59a8cd46f0763d72dd8c396790e72c8e0229bdf4d"),
+        ("int64", "3042f4ba1a77e272f333e6158582dbc62587b50ff8e285a5eef00a8c8b005f62"),
+    ])
+    def test_tsvc_sources(self, dtype, expected):
+        sources = [load_kernel(name, dtype).source for name in all_kernel_names()]
+        assert _stream_digest(sources) == expected
+
+    def test_avx2_golden_final_code(self):
+        from test_sve import AVX2_GOLDEN
+
+        from repro.pipeline.campaign import CampaignConfig, CampaignRunner
+
+        report = CampaignRunner(CampaignConfig(workers=1)).run(
+            [kernel for kernel, _, _ in AVX2_GOLDEN])
+        codes = [r.result["final_code"] for r in report.records
+                 if r.result["final_code"]]
+        assert [hashlib.sha256(code.encode()).hexdigest() for code in codes] == \
+            [sha for _, _, sha in AVX2_GOLDEN if sha]
+        assert _stream_digest(codes) == "581b485fdfd7becd00da2def039242ddae52e9a176286e1efd266b3b0a29101c"
+
+    def test_seeded_mutation_corpus(self):
+        assert _stream_digest(mutation_corpus()) == "8610b0d63b272357cf708c7c22d43707751ecc63fd9eb2baea70d4afe94e5303"
 
 
 class TestExpressionParsing:

@@ -192,3 +192,93 @@ class TestStats:
         snapshot = plancache.stats.as_dict()
         assert snapshot["parse_hits"] == 1
         assert snapshot["parse_misses"] == 1
+
+
+#: A mini campaign mixing easy, dependent, control-flow, recurrence and
+#: refuted kernels, so retries, faults and every proof stage occur.
+MINI_CAMPAIGN = ["s000", "s112", "s1119", "s212", "s271", "s321"]
+
+
+class TestParseOnce:
+    def test_campaign_parses_no_source_twice(self, monkeypatch):
+        from collections import Counter
+
+        from repro.cfront import cparser
+        from repro.pipeline.campaign import CampaignConfig, CampaignRunner
+
+        parsed = Counter()
+        parse_program = cparser.parse_program
+
+        def counting_parse_program(source):
+            parsed[source] += 1
+            return parse_program(source)
+
+        monkeypatch.setattr(cparser, "parse_program", counting_parse_program)
+        for dtype in ("int32", "int16"):
+            report = CampaignRunner(CampaignConfig(workers=1, dtype=dtype)).run(MINI_CAMPAIGN)
+            assert len(report.records) == len(MINI_CAMPAIGN)
+        assert parsed, "the campaign parsed nothing: the counter is not wired in"
+        twice = [source.splitlines()[:2] for source, count in parsed.items() if count > 1]
+        assert twice == []
+
+
+class TestSharedAst:
+    def test_readers_leave_a_cache_shared_ast_unchanged(self, monkeypatch):
+        import copy
+
+        from repro.alive.verifier import AliveVerifier
+        from repro.analysis import features
+        from repro.interp.checksum import checksum_testing
+        from repro.staticcheck import check_candidate, clear_staticcheck_cache
+        from repro.tsvc import load_kernel
+
+        kernel = load_kernel("s271")
+        scalar = plancache.cached_parse(kernel.source)
+        code = plancache.cached_vectorize(kernel.source, scalar, "avx2").source
+        candidate = plancache.cached_parse(code)
+        before = copy.deepcopy([scalar, candidate])
+
+        monkeypatch.setattr(features, "_FEATURE_MEMO", {})
+        clear_staticcheck_cache()
+        check_candidate(code, target="avx2", scalar_source=kernel.source)
+        features.analyze_kernel(scalar)
+        features.analyze_kernel(candidate)
+        checksum_testing(kernel.source, code)
+        verifier = AliveVerifier()
+        verifier.check_with_alive_unroll(kernel.source, code)
+        verifier.check_with_c_unroll(kernel.source, code)
+        verifier.check_with_spatial_splitting(kernel.source, code)
+        assert [scalar, candidate] == before
+
+    def test_deepcopy_copies_nodes_and_shares_immutable_leaves(self):
+        import copy
+
+        from repro.cfront import ast_nodes as ast
+
+        func = plancache.cached_parse(SRC)
+        shared = ast.Identifier(name="i")
+        func.body.body.append(ast.ExprStmt(expr=ast.BinOp(op="+", left=shared, right=shared)))
+        twin = copy.deepcopy(func)
+        assert twin == func
+        pairs = list(zip(ast.walk(func), ast.walk(twin), strict=True))
+        assert all(a is not b and type(a) is type(b) for a, b in pairs)
+        assert all(a.location is b.location for a, b in pairs)
+        assert twin.params[1].param_type is func.params[1].param_type
+        assert twin.body.body is not func.body.body
+        copied = twin.body.body[-1].expr
+        assert copied.left is copied.right
+
+    def test_kernel_dtype_memo_never_survives_a_copy(self):
+        import copy
+
+        from repro.cfront import ast_nodes as ast
+        from repro.cfront.ctypes import CType
+
+        func = plancache.cached_parse(SRC)
+        assert ast.kernel_dtype(func).name == "int32"
+        twin = copy.deepcopy(func)
+        for param in twin.params:
+            if param.param_type.is_pointer:
+                param.param_type = CType("int16_t", 1)
+        assert ast.kernel_dtype(twin).name == "int16"
+        assert ast.kernel_dtype(func).name == "int32"

@@ -38,6 +38,13 @@ class TestRegistry:
             assert kernel.spec.description
             assert kernel.spec.tsvc_class
 
+    def test_every_spelling_of_a_kernel_loads_one_object(self):
+        assert load_kernel("s000") is load_kernel("s000", "int32") \
+            is load_kernel("s000", dtype="int32") is load_suite(["s000"])[0]
+        assert load_kernel("s000_i16") is load_kernel("s000", "int16") \
+            is load_kernel("s000", dtype="int16") is load_suite(["s000"], "int16")[0]
+        assert load_kernel("s000_i16") is not load_kernel("s000")
+
 
 class TestKernelSources:
     def test_every_kernel_parses_and_analyzes(self):
