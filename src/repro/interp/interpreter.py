@@ -38,7 +38,7 @@ from repro.intrinsics.registry import (
     lookup_intrinsic,
 )
 from repro.intrinsics.values import PredValue, VecValue
-from repro.lanetypes import INT32, LaneType
+from repro.lanetypes import INT32, LaneType, trunc_div
 from repro.targets import vector_type_lanes_for
 
 
@@ -367,12 +367,12 @@ class Interpreter:
             if rhs == 0:
                 self.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "division by zero"))
                 return 0
-            return self._wrap(int(lhs / rhs))  # C truncates toward zero
+            return self._wrap(trunc_div(lhs, rhs))
         if op == "%":
             if rhs == 0:
                 self.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "modulo by zero"))
                 return 0
-            return self._wrap(lhs - int(lhs / rhs) * rhs)
+            return self._wrap(lhs - trunc_div(lhs, rhs) * rhs)
         raise InterpreterError(f"unsupported binary operator {op!r}")
 
     def _pointer_arith(self, op: str, left: Value, right: Value) -> Value:

@@ -85,6 +85,16 @@ _ALIASES = {
 }
 
 
+def trunc_div(numerator: int, denominator: int) -> int:
+    """C's truncating integer division (rounds toward zero), exact at any width.
+
+    ``int(a / b)`` goes through a float and is wrong once an operand passes
+    2**53, which int64 lanes reach.  ``denominator`` must be nonzero.
+    """
+    quotient = abs(numerator) // abs(denominator)
+    return quotient if (numerator < 0) == (denominator < 0) else -quotient
+
+
 def lane_type_names() -> list[str]:
     """Canonical names of all supported element types, narrow to wide."""
     return [t.name for t in ALL_LANE_TYPES]

@@ -8,8 +8,9 @@ three stages (cheapest first):
    such as comparisons or selects become opaque variables whose arguments are
    normalized recursively).  Structural equality of the normal forms is a
    sound proof of equivalence at full width.
-2. **Randomized refutation** — concrete evaluation at 32 bits over a battery
-   of random and boundary assignments; any difference is a genuine
+2. **Randomized refutation** — concrete evaluation at the modeled width
+   over a battery of boundary and random assignments, all of them evaluated
+   in one pass over each term DAG; any difference is a genuine
    counterexample.
 3. **Bit-blasting + CDCL SAT at reduced width** — an UNSAT answer proves
    equivalence *modulo bitwidth reduction* (the documented soundness trade of
@@ -36,6 +37,7 @@ from repro.smt.terms import (
     bv_var,
     collect_variables,
     evaluate,
+    evaluate_many,
     mk,
     modeled_bits,
     term_size,
@@ -327,9 +329,6 @@ def _boundary_values(bits: int) -> list[int]:
     return [0, 1, 2, 7, 8, top // 2 - 1, top // 2, top - 1, top - 2]
 
 
-_BOUNDARY_VALUES = _boundary_values(WORD_BITS)
-
-
 def _alpha_canonical_pair(source: Term, target: Term) -> tuple[Term, Term, dict[str, str]]:
     """Rename the pair's variables to first-occurrence order (``v0``, ``v1``...).
 
@@ -389,7 +388,7 @@ class EquivalenceChecker:
         if terms_structurally_equal(source, target):
             return EquivalenceResult(EquivalenceOutcome.EQUIVALENT, method="normalization")
 
-        counterexample = self._random_refute(source, target)
+        counterexample = self._batched_random_refute([(source, target)])
         if counterexample is not None:
             return EquivalenceResult(
                 EquivalenceOutcome.NOT_EQUIVALENT, method="concrete", counterexample=counterexample
@@ -456,15 +455,38 @@ class EquivalenceChecker:
                                  sat_stats=batch.sat_stats if batch else None)
 
     def _batched_random_refute(self, pairs: list[tuple[Term, Term]]) -> dict[str, int] | None:
+        """The first sampled assignment under which some pair differs, or None.
+
+        Samples are ordered (boundary probes first, then small and full-width
+        random values) and the earliest refuting sample wins, exactly as if
+        each sample were tried on every pair in turn.  Evaluation runs the
+        other way round: every pair is evaluated under all samples at once
+        (:func:`evaluate_many`), with one memo shared by the whole batch.
+        """
         variables: set[str] = set()
         for source, target in pairs:
             variables |= collect_variables(source) | collect_variables(target)
-        ordered = sorted(variables)
+        samples = self._samples(sorted(variables))
+        bits = self.model_bits
+        memo: dict[int, list[int]] = {}
+        first = len(samples)
+        for source, target in pairs:
+            left = evaluate_many(source, samples, bits, memo)
+            right = evaluate_many(target, samples, bits, memo)
+            if left[:first] != right[:first]:
+                first = next(index for index, (x, y) in enumerate(zip(left, right)) if x != y)
+                if first == 0:
+                    break
+        return samples[first] if first < len(samples) else None
+
+    def _samples(self, variables: list[str]) -> list[dict[str, int]]:
+        """The refutation assignments over ``variables``, drawn from the checker's seed."""
         rng = random.Random(self.seed)
         bits = self.model_bits
+        samples = []
         for sample in range(self.budget.random_samples):
             assignment: dict[str, int] = {}
-            for name in ordered:
+            for name in variables:
                 if sample < len(self._boundaries):
                     assignment[name] = to_unsigned(
                         self._boundaries[sample] + rng.randint(-2, 2), bits)
@@ -472,30 +494,10 @@ class EquivalenceChecker:
                     assignment[name] = to_unsigned(rng.randint(-10, 10), bits)
                 else:
                     assignment[name] = rng.getrandbits(bits)
-            for source, target in pairs:
-                if evaluate(source, assignment, bits) != evaluate(target, assignment, bits):
-                    return assignment
-        return None
+            samples.append(assignment)
+        return samples
 
     # -- internals ------------------------------------------------------------------
-
-    def _random_refute(self, source: Term, target: Term) -> dict[str, int] | None:
-        variables = sorted(collect_variables(source) | collect_variables(target))
-        rng = random.Random(self.seed)
-        bits = self.model_bits
-        for sample in range(self.budget.random_samples):
-            assignment: dict[str, int] = {}
-            for name in variables:
-                if sample < len(self._boundaries):
-                    base = self._boundaries[sample]
-                    assignment[name] = to_unsigned(base + rng.randint(-2, 2), bits)
-                elif sample % 3 == 0:
-                    assignment[name] = to_unsigned(rng.randint(-10, 10), bits)
-                else:
-                    assignment[name] = rng.getrandbits(bits)
-            if evaluate(source, assignment, bits) != evaluate(target, assignment, bits):
-                return assignment
-        return None
 
     def _sat_check(self, source: Term, target: Term) -> EquivalenceResult:
         return self._sat_check_batch([(source, target)])

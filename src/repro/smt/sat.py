@@ -19,6 +19,14 @@ Literals are encoded as nonzero integers (DIMACS convention: ``-v`` is the
 negation of variable ``v``).  Per-call propagation/conflict budgets turn
 runaway queries into a ``SATResult.UNKNOWN`` answer, which the verification
 layer reports as Inconclusive — the analogue of an Alive2/Z3 timeout.
+
+Because the budgets count solver steps, the steps are part of the contract:
+for a given call sequence every ``solve`` makes the same decisions,
+propagations, conflicts, learned clauses and restarts and returns the same
+model.  Speed-ups must keep those moves — watch-list order, literal order and
+the VSIDS tie-break (lowest variable index) included.  The recorded campaign
+corpus under ``benchmarks/corpus/sat`` pins them (``tests/test_solver.py``,
+``benchmarks/sat_replay.py --check``).
 """
 
 from __future__ import annotations
@@ -84,12 +92,15 @@ class CDCLSolver:
         self._phase: list[bool] = [False]  # saved phases; default negative-first
         self._activity_increment = 1.0
         self._heap: list[tuple[float, int]] = []
+        # Whether the variable's live heap entry (current activity) is queued.
+        self._queued: list[bool] = [False]
         # Clause state.
         self.clauses: list[list[int]] = []  # original (problem) clauses
         self._pending: list[list[int]] = []  # added since the last solve()
         self._learned: list[list[int]] = []
         self._clause_lbd: dict[int, int] = {}
         self._learned_limit = 2000
+        # Watch lists of every literal of every known variable (see _grow).
         self._watches: dict[int, list[list[int]]] = {}
         # Search state.
         self._trail: list[int] = []
@@ -124,7 +135,10 @@ class CDCLSolver:
             self._reason.append(None)
             self._activity.append(0.0)
             self._phase.append(False)
+            self._queued.append(True)
             heappush(self._heap, (0.0, variable))
+            self._watches[variable] = []
+            self._watches[-variable] = []
         # The literal-indexed value array uses Python's negative indexing:
         # _values[lit] is distinct for lit and -lit as long as the list holds
         # 2*num_vars + 1 slots.  Growth must rebuild rather than append —
@@ -170,6 +184,12 @@ class CDCLSolver:
         restart_index = 1
         conflicts_until_restart = luby(restart_index) * _RESTART_BASE
         values = self._values
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        trail = self._trail
+        trail_limits = self._trail_limits
+        assumed = len(assumptions)
 
         while True:
             conflict = self._propagate()
@@ -179,7 +199,7 @@ class CDCLSolver:
                 if self._decision_level == 0:
                     self._unsat = True
                     return SATResult.UNSAT, {}
-                if self._decision_level <= len(assumptions):
+                if self._decision_level <= assumed:
                     # The conflict depends on no real decision, only on the
                     # assumption prefix: UNSAT under these assumptions.
                     self._backtrack(0)
@@ -194,28 +214,29 @@ class CDCLSolver:
                 # the clause database alone, not by the assumptions).
                 self._backtrack(backtrack_level)
                 self._learn(learned, lbd)
-            elif conflicts_until_restart <= 0:
+                continue
+            if conflicts_until_restart <= 0:
                 stats.restarts += 1
                 restart_index += 1
                 conflicts_until_restart = luby(restart_index) * _RESTART_BASE
                 self._backtrack(0)
                 if len(self._learned) > self._learned_limit:
                     self._reduce_learned()
-            else:
-                if stats.propagations > propagation_ceiling:
+                continue
+            if stats.propagations > propagation_ceiling:
+                self._backtrack(0)
+                return SATResult.UNKNOWN, {}
+            if self._decision_level < assumed:
+                literal = assumptions[self._decision_level]
+                value = values[literal]
+                if value is False:
                     self._backtrack(0)
-                    return SATResult.UNKNOWN, {}
-                if self._decision_level < len(assumptions):
-                    literal = assumptions[self._decision_level]
-                    value = values[literal]
-                    if value is False:
-                        self._backtrack(0)
-                        return SATResult.UNSAT, {}
-                    self._trail_limits.append(len(self._trail))
-                    self._decision_level += 1
-                    if value is None:
-                        self._enqueue(literal, None)
+                    return SATResult.UNSAT, {}
+                trail_limits.append(len(trail))
+                self._decision_level += 1
+                if value is not None:
                     continue
+            else:
                 literal = self._pick_branch()
                 if literal is None:
                     model = {var: values[var] for var in range(1, self.num_vars + 1)
@@ -223,9 +244,16 @@ class CDCLSolver:
                     self._backtrack(0)
                     return SATResult.SAT, model
                 stats.decisions += 1
-                self._trail_limits.append(len(self._trail))
+                trail_limits.append(len(trail))
                 self._decision_level += 1
-                self._enqueue(literal, None)
+            # Assign the decision (or assumption) literal with no reason.
+            variable = literal if literal > 0 else -literal
+            values[literal] = True
+            values[-literal] = False
+            level[variable] = self._decision_level
+            reason[variable] = None
+            phase[variable] = literal > 0
+            trail.append(literal)
 
     # -- clause attachment -------------------------------------------------------------
 
@@ -245,14 +273,18 @@ class CDCLSolver:
             if len(live) == 1:
                 self._enqueue(live[0], clause)
                 continue
-            self._watches.setdefault(live[0], []).append(live)
-            self._watches.setdefault(live[1], []).append(live)
+            self._watches[live[0]].append(live)
+            self._watches[live[1]].append(live)
         self._pending.clear()
         return True
 
     # -- internal state ---------------------------------------------------------------
 
     def _enqueue(self, literal: int, reason: list[int] | None) -> None:
+        """Make ``literal`` true at the current level.
+
+        The hot paths (propagation and the decision loop) inline this.
+        """
         variable = literal if literal > 0 else -literal
         self._values[literal] = True
         self._values[-literal] = False
@@ -262,59 +294,100 @@ class CDCLSolver:
         self._trail.append(literal)
 
     def _propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None."""
+        """Unit propagation; returns a conflicting clause or None.
+
+        Each watched clause keeps its two watches in positions 0 and 1.  The
+        assignment of an implied literal is inlined, and ternary clauses —
+        most of the bit-blasted gate clauses — test their one replacement
+        candidate without a loop; both make exactly the moves of the generic
+        path.
+        """
         values = self._values
         trail = self._trail
         watches = self._watches
-        head = self._propagation_head
-        count = 0
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        decision_level = self._decision_level
+        start = head = self._propagation_head
         while head < len(trail):
-            literal = trail[head]
+            falsified = -trail[head]
             head += 1
-            count += 1
-            falsified = -literal
-            watching = watches.get(falsified)
+            watching = watches[falsified]
             if not watching:
                 continue
             index = 0
-            while index < len(watching):
+            size = len(watching)
+            while index < size:
                 clause = watching[index]
                 # Ensure the falsified literal is in position 1.
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if values[first] is True:
+                if first == falsified:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = falsified
+                value = values[first]
+                if value:
                     index += 1
                     continue
                 # Look for a replacement watch.
-                replaced = False
-                for position in range(2, len(clause)):
-                    other = clause[position]
+                length = len(clause)
+                if length == 3:
+                    other = clause[2]
                     if values[other] is not False:
-                        clause[1], clause[position] = other, clause[1]
-                        watches.setdefault(other, []).append(clause)
-                        watching[index] = watching[-1]
+                        clause[1] = other
+                        clause[2] = falsified
+                        watches[other].append(clause)
+                        size -= 1
+                        watching[index] = watching[size]
                         watching.pop()
-                        replaced = True
-                        break
-                if replaced:
-                    continue
+                        continue
+                elif length > 3:
+                    for other in clause[2:]:
+                        if values[other] is not False:
+                            break
+                    else:
+                        other = 0
+                    if other:
+                        clause[1] = other
+                        clause[clause.index(other, 2)] = falsified
+                        watches[other].append(clause)
+                        size -= 1
+                        watching[index] = watching[size]
+                        watching.pop()
+                        continue
                 # No replacement: clause is unit or conflicting.
-                if values[first] is False:
+                if value is False:
                     self._propagation_head = head
-                    self.stats.propagations += count
+                    self.stats.propagations += head - start
                     return clause
-                self._enqueue(first, clause)
+                variable = first if first > 0 else -first
+                values[first] = True
+                values[-first] = False
+                level[variable] = decision_level
+                reason[variable] = clause
+                phase[variable] = first > 0
+                trail.append(first)
                 index += 1
         self._propagation_head = head
-        self.stats.propagations += count
+        self.stats.propagations += head - start
         return None
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int, int]:
-        """First-UIP analysis; returns (learned clause, backtrack level, LBD)."""
+        """First-UIP analysis; returns (learned clause, backtrack level, LBD).
+
+        Every variable met is VSIDS-bumped in place.  All of them are
+        assigned, so a bump only marks the variable's heap entry stale;
+        :meth:`_backtrack` re-queues it with the new activity once it is
+        unassigned.
+        """
         learned: list[int] = []
         seen = bytearray(self.num_vars + 1)
         level = self._level
+        reason = self._reason
+        activity = self._activity
+        queued = self._queued
+        increment = self._activity_increment
         counter = 0
         literal = None
         clause = conflict
@@ -327,7 +400,12 @@ class CDCLSolver:
                 variable = lit if lit > 0 else -lit
                 if not seen[variable] and level[variable] > 0:
                     seen[variable] = 1
-                    self._bump(variable)
+                    bumped = activity[variable] + increment
+                    activity[variable] = bumped
+                    queued[variable] = False
+                    if bumped > 1e100:
+                        increment = self._rescale_activities(increment)
+                    increment *= 1.05
                     if level[variable] == current_level:
                         counter += 1
                     else:
@@ -341,8 +419,8 @@ class CDCLSolver:
             counter -= 1
             if counter == 0:
                 break
-            variable = literal if literal > 0 else -literal
-            clause = self._reason[variable] or []
+            clause = reason[literal if literal > 0 else -literal] or []
+        self._activity_increment = increment
         learned.append(-literal)
         self.stats.learned_clauses += 1
         if len(learned) == 1:
@@ -351,22 +429,42 @@ class CDCLSolver:
         lbd = len({level[lit if lit > 0 else -lit] for lit in learned})
         return learned, backtrack_level, lbd
 
+    def _rescale_activities(self, increment: float) -> float:
+        """Scale every activity (and the increment) down by 1e-100; rebuild the heap."""
+        activity = self._activity
+        for index in range(1, self.num_vars + 1):
+            activity[index] *= 1e-100
+        values = self._values
+        queued = self._queued
+        heap = []
+        for variable in range(1, self.num_vars + 1):
+            free = values[variable] is None
+            queued[variable] = free
+            if free:
+                heap.append((-activity[variable], variable))
+        heapify(heap)
+        self._heap = heap
+        return increment * 1e-100
+
     def _backtrack(self, target: int) -> None:
         if self._decision_level <= target:
             return
         limit = self._trail_limits[target]
         del self._trail_limits[target:]
         values = self._values
+        reason = self._reason
         trail = self._trail
         heap = self._heap
         activity = self._activity
-        for position in range(len(trail) - 1, limit - 1, -1):
-            literal = trail[position]
+        queued = self._queued
+        for literal in reversed(trail[limit:]):
             variable = literal if literal > 0 else -literal
             values[literal] = None
             values[-literal] = None
-            self._reason[variable] = None
-            heappush(heap, (-activity[variable], variable))
+            reason[variable] = None
+            if not queued[variable]:
+                queued[variable] = True
+                heappush(heap, (-activity[variable], variable))
         del trail[limit:]
         self._decision_level = target
         self._propagation_head = limit
@@ -375,13 +473,11 @@ class CDCLSolver:
         # Put the asserting literal first so it becomes unit immediately.
         asserting = clause[-1]
         ordered = [asserting] + clause[:-1]
-        if len(ordered) == 1:
-            self._enqueue(asserting, ordered)
-            return
-        self._watches.setdefault(ordered[0], []).append(ordered)
-        self._watches.setdefault(ordered[1], []).append(ordered)
-        self._learned.append(ordered)
-        self._clause_lbd[id(ordered)] = lbd
+        if len(ordered) > 1:
+            self._watches[ordered[0]].append(ordered)
+            self._watches[ordered[1]].append(ordered)
+            self._learned.append(ordered)
+            self._clause_lbd[id(ordered)] = lbd
         self._enqueue(asserting, ordered)
 
     def _reduce_learned(self) -> None:
@@ -410,35 +506,26 @@ class CDCLSolver:
                 self._watches[literal] = [c for c in watching if id(c) not in doomed]
         self._learned_limit = int(self._learned_limit * 1.1)
 
-    def _bump(self, variable: int) -> None:
-        activity = self._activity
-        activity[variable] += self._activity_increment
-        if activity[variable] > 1e100:
-            for index in range(1, self.num_vars + 1):
-                activity[index] *= 1e-100
-            self._activity_increment *= 1e-100
-            values = self._values
-            self._heap = [(-activity[v], v) for v in range(1, self.num_vars + 1)
-                          if values[v] is None]
-            heapify(self._heap)
-        else:
-            heappush(self._heap, (-activity[variable], variable))
-        self._activity_increment *= 1.05
-
     def _pick_branch(self) -> int | None:
-        """Highest-activity unassigned variable, in its saved phase.
+        """Highest-activity unassigned variable (lowest index on ties), in its saved phase.
 
-        The heap is lazy: bumps push fresh entries without removing stale
-        ones, so entries whose recorded activity no longer matches the
-        variable's current activity are discarded on pop (a fresher, larger
-        entry for that variable is still in the heap).
+        The heap is lazy: a bump leaves the variable's old entry in place, so
+        entries whose recorded activity no longer matches the variable's
+        current activity are stale and discarded on pop.  ``_queued[v]`` says
+        whether ``v`` has its one live entry (the one carrying its current
+        activity) in the heap; every unassigned variable does, which makes
+        the pick the same as a scan over all unassigned variables.
         """
         heap = self._heap
         values = self._values
         activity = self._activity
+        queued = self._queued
         while heap:
             negated, variable = heappop(heap)
-            if values[variable] is not None or activity[variable] != -negated:
+            if activity[variable] != -negated:
+                continue
+            queued[variable] = False
+            if values[variable] is not None:
                 continue
             return variable if self._phase[variable] else -variable
         return None

@@ -15,7 +15,9 @@ import enum
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+
+from repro.lanetypes import trunc_div
 
 WORD_BITS = 32
 _WORD_MASK = (1 << WORD_BITS) - 1
@@ -434,14 +436,14 @@ def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -
         if node.kind is TermKind.ASHR:
             return (sgn(values[0]) >> (values[1] % bits)) & mask
         if node.kind is TermKind.DIV:
-            if sgn(values[1]) == 0:
+            if values[1] == 0:
                 return 0
-            return int(sgn(values[0]) / sgn(values[1])) & mask
+            return trunc_div(sgn(values[0]), sgn(values[1])) & mask
         if node.kind is TermKind.REM:
-            if sgn(values[1]) == 0:
+            if values[1] == 0:
                 return 0
-            quotient = int(sgn(values[0]) / sgn(values[1]))
-            return (sgn(values[0]) - quotient * sgn(values[1])) & mask
+            dividend, divisor = sgn(values[0]), sgn(values[1])
+            return (dividend - trunc_div(dividend, divisor) * divisor) & mask
         if node.kind is TermKind.ITE:
             return values[1] if values[0] != 0 else values[2]
         if node.kind is TermKind.LT:
@@ -465,6 +467,108 @@ def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -
         raise ValueError(f"cannot evaluate term kind {node.kind}")
 
     return go(term)
+
+
+def evaluate_many(term: Term, assignments: Sequence[Mapping[str, int]],
+                  bits: int = WORD_BITS, memo: dict[int, list[int]] | None = None) -> list[int]:
+    """:func:`evaluate` under every assignment at once: one value per assignment.
+
+    Each DAG node is visited once and computes its whole column of values,
+    so the per-node dispatch is paid once instead of once per assignment.
+    ``memo`` (node id -> column) may be shared across calls over the same
+    assignments, so terms that share subterms evaluate them once; the
+    caller keeps the terms alive while it holds the memo.
+    """
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    full = 1 << bits
+    count = len(assignments)
+    columns = {} if memo is None else memo
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in columns:
+            stack.pop()
+            continue
+        missing = [arg for arg in node.args if id(arg) not in columns]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        kind = node.kind
+        args = [columns[id(arg)] for arg in node.args]
+        if kind is TermKind.CONST:
+            column = [node.value & mask] * count
+        elif kind is TermKind.VAR:
+            name = node.name
+            column = [assignment[name] & mask for assignment in assignments]
+        elif kind is TermKind.POISON:
+            column = [0xDEAD & mask] * count
+        elif kind is TermKind.ADD:
+            column = [(x + y) & mask for x, y in zip(*args)]
+        elif kind is TermKind.SUB:
+            column = [(x - y) & mask for x, y in zip(*args)]
+        elif kind is TermKind.MUL:
+            column = [(x * y) & mask for x, y in zip(*args)]
+        elif kind is TermKind.NEG:
+            column = [-x & mask for x in args[0]]
+        elif kind is TermKind.AND:
+            column = [x & y for x, y in zip(*args)]
+        elif kind is TermKind.OR:
+            column = [x | y for x, y in zip(*args)]
+        elif kind is TermKind.XOR:
+            column = [x ^ y for x, y in zip(*args)]
+        elif kind is TermKind.NOT:
+            column = [x ^ mask for x in args[0]]
+        elif kind is TermKind.SHL:
+            column = [(x << (y % bits)) & mask for x, y in zip(*args)]
+        elif kind is TermKind.LSHR:
+            column = [x >> (y % bits) for x, y in zip(*args)]
+        elif kind is TermKind.ASHR:
+            column = [((x - full if x & half else x) >> (y % bits)) & mask
+                      for x, y in zip(*args)]
+        elif kind is TermKind.DIV or kind is TermKind.REM:
+            column = []
+            for x, y in zip(*args):
+                dividend = x - full if x & half else x
+                divisor = y - full if y & half else y
+                if not divisor:
+                    column.append(0)
+                elif kind is TermKind.DIV:
+                    column.append(trunc_div(dividend, divisor) & mask)
+                else:
+                    column.append((dividend - trunc_div(dividend, divisor) * divisor) & mask)
+        elif kind is TermKind.ITE:
+            column = [t if c else e for c, t, e in zip(*args)]
+        elif kind is TermKind.EQ:
+            column = [1 if x == y else 0 for x, y in zip(*args)]
+        elif kind is TermKind.NE:
+            column = [1 if x != y else 0 for x, y in zip(*args)]
+        elif kind is TermKind.ABS:
+            column = [-x & mask if x & half else x for x in args[0]]
+        else:
+            # Signed order on unsigned words: flipping the sign bit maps it
+            # onto plain unsigned order.
+            left = [x ^ half for x in args[0]]
+            right = [y ^ half for y in args[1]]
+            if kind is TermKind.LT:
+                column = [1 if x < y else 0 for x, y in zip(left, right)]
+            elif kind is TermKind.LE:
+                column = [1 if x <= y else 0 for x, y in zip(left, right)]
+            elif kind is TermKind.GT:
+                column = [1 if x > y else 0 for x, y in zip(left, right)]
+            elif kind is TermKind.GE:
+                column = [1 if x >= y else 0 for x, y in zip(left, right)]
+            elif kind is TermKind.MIN:
+                column = [a if x <= y else b
+                          for a, b, x, y in zip(args[0], args[1], left, right)]
+            elif kind is TermKind.MAX:
+                column = [a if x >= y else b
+                          for a, b, x, y in zip(args[0], args[1], left, right)]
+            else:
+                raise ValueError(f"cannot evaluate term kind {kind}")
+        columns[id(node)] = column
+    return columns[id(term)]
 
 
 def collect_variables(term: Term) -> set[str]:

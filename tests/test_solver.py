@@ -10,10 +10,17 @@ Covers the PR's acceptance surface:
 * the alpha-canonical pair memo collapses lane/unroll copies of one kernel
   into a single solve without changing the batch verdict;
 * the solved-query cache returns bit-identical results on hits, persists
-  across save/load, and never counts seeding as solving.
+  across save/load, and never counts seeding as solving;
+* the solver's trajectory is pinned: replaying the recorded campaign corpus
+  (``benchmarks/corpus/sat``) reproduces every solve's result, statistics
+  and model, because budgets counted in exactly those steps decide which
+  queries end Inconclusive.
 """
 
 import random
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +34,9 @@ from repro.smt.equiv import (
 )
 from repro.smt.sat import CDCLSolver, SATResult, luby
 from repro.smt.terms import TermKind, bv_const, bv_var, mk
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import sat_replay  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -267,3 +277,57 @@ class TestSummaryAggregation:
         )
         assert "solver" not in summary.as_dict()
         assert summary.solve_cache_hit_rate == 0.0
+
+
+class TestTrajectoryPin:
+    """The solver makes the recorded moves: same results, statistics and models."""
+
+    @pytest.mark.parametrize("path", sat_replay.corpus_paths(), ids=lambda path: path.name)
+    def test_campaign_corpus_replays_identically(self, path):
+        corpus = sat_replay.load_corpus(path)
+        outcome = sat_replay.replay(corpus)
+        recorded = sum(op[0] == "s" for solver in corpus["solvers"] for op in solver["ops"])
+        assert outcome.solves == recorded > 0
+        assert not outcome.drift, "\n".join(outcome.drift[:3])
+
+    def test_corpus_covers_both_campaigns(self):
+        assert {path.name for path in sat_replay.corpus_paths()} >= {
+            "avx2.json.gz", "sve256.json.gz"}
+
+
+def assert_one_live_entry_per_free_variable(solver: CDCLSolver) -> None:
+    """Every unassigned variable has exactly one heap entry at its current activity."""
+    live = Counter(variable for negated, variable in solver._heap
+                   if solver._activity[variable] == -negated)
+    for variable in range(1, solver.num_vars + 1):
+        if solver._values[variable] is None:
+            assert live[variable] == 1, (variable, live[variable])
+            assert solver._queued[variable]
+
+
+class TestDecisionHeap:
+    def test_invariant_after_campaign_solves(self):
+        corpus = sat_replay.load_corpus(sat_replay.CORPUS_DIR / "avx2.json.gz")
+        corpus["solvers"] = corpus["solvers"][:3]
+        outcome = sat_replay.replay(corpus, after_solve=assert_one_live_entry_per_free_variable)
+        assert outcome.solves >= 3 and not outcome.drift
+
+    def test_invariant_after_incremental_solves(self):
+        rng = random.Random(11)
+        solver = CDCLSolver()
+        for clause in pigeonhole_clauses(6, 5):
+            solver.add_clause(clause)
+        for _ in range(6):
+            solver.solve([rng.choice([-1, 1]) * rng.randint(1, 30)])
+            assert_one_live_entry_per_free_variable(solver)
+            solver.add_clause([rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(3)])
+
+    def test_invariant_across_activity_rescaling(self):
+        solver = CDCLSolver()
+        for clause in pigeonhole_clauses(6, 5):
+            solver.add_clause(clause)
+        solver._activity_increment = 1e99  # the first bumps cross the 1e100 rescale line
+        result, _ = solver.solve()
+        assert result is SATResult.UNSAT
+        assert solver._activity_increment < 1e99
+        assert_one_live_entry_per_free_variable(solver)
